@@ -246,24 +246,46 @@ func Run(ctx context.Context, src io.Reader, cfg Config) (Metrics, error) {
 	return a.m, err
 }
 
-// readSource decodes the JSONL source into copied batches. The batch
-// slice handed to the StreamVisits callback is reused, so each batch is
-// copied before crossing the channel.
+// readSource decodes the JSONL source into batches of exactly BatchSize
+// records (the last one may be short). The decoder may hand its batches
+// over early when the source idles, so they are re-cut here: sequence
+// numbers are positional, and a restarted agent must regenerate the same
+// ones from the same bytes however the reads fell. The decoder reuses its
+// batch slice, so records are copied into a fresh batch before it crosses
+// the channel.
 func (a *run) readSource(ctx context.Context, src io.Reader) {
 	opts := traceio.StreamOptions{BatchSize: a.cfg.BatchSize}
 	if a.cfg.Lenient {
 		opts.Policy = traceio.Skip
 	}
-	stats, err := traceio.StreamVisitsOpts(src, opts, func(batch []trace.Visit) error {
-		cp := make([]trace.Visit, len(batch))
-		copy(cp, batch)
+	var cut []trace.Visit
+	send := func() error {
 		select {
-		case a.srcCh <- cp:
+		case a.srcCh <- cut:
+			cut = nil
 			return nil
 		case <-ctx.Done():
 			return ctx.Err()
 		}
+	}
+	stats, err := traceio.StreamVisitsOpts(src, opts, func(batch []trace.Visit) error {
+		for len(batch) > 0 {
+			if cut == nil {
+				cut = make([]trace.Visit, 0, a.cfg.BatchSize)
+			}
+			n := copy(cut[len(cut):cap(cut)], batch)
+			cut, batch = cut[:len(cut)+n], batch[n:]
+			if len(cut) == a.cfg.BatchSize {
+				if err := send(); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	})
+	if err == nil && len(cut) > 0 {
+		err = send()
+	}
 	close(a.srcCh)
 	a.readRes <- readResult{stats: stats, err: err}
 }

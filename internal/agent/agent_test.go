@@ -3,7 +3,9 @@ package agent
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -324,4 +326,49 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// readCuts runs the source reader alone and returns its batches in
+// sequence order.
+func readCuts(t *testing.T, src io.Reader, batchSize int) [][]trace.Visit {
+	t.Helper()
+	a := &run{
+		cfg:     Config{BatchSize: batchSize},
+		srcCh:   make(chan []trace.Visit, 1),
+		readRes: make(chan readResult, 1),
+	}
+	go a.readSource(context.Background(), src)
+	var cuts [][]trace.Visit
+	for b := range a.srcCh {
+		cuts = append(cuts, b)
+	}
+	if res := <-a.readRes; res.err != nil {
+		t.Fatalf("readSource: %v", res.err)
+	}
+	return cuts
+}
+
+// Sequence numbers are positional: the same bytes must map to the same
+// batches whether they arrive in one piece or trickle through a pipe in
+// irregular writes that let the decoder hand partial batches over.
+func TestAgentBatchCutsIgnoreReadBoundaries(t *testing.T) {
+	_, feed := testFeed(t, 257)
+	want := readCuts(t, bytes.NewReader(feed), 10)
+	if len(want) != 26 || len(want[25]) != 7 {
+		t.Fatalf("whole-reader cuts: %d batches, last %d records", len(want), len(want[len(want)-1]))
+	}
+	pr, pw := io.Pipe()
+	go func() {
+		for off, step := 0, 1; off < len(feed); step = step*7%61 + 1 {
+			end := min(off+step, len(feed))
+			if _, err := pw.Write(feed[off:end]); err != nil {
+				return
+			}
+			off = end
+		}
+		pw.Close()
+	}()
+	if got := readCuts(t, pr, 10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("pipe-fed cuts differ from whole-reader cuts:\n got %d batches\nwant %d batches", len(got), len(want))
+	}
 }

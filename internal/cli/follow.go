@@ -173,20 +173,46 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 	if opts.lenient {
 		ioOpts.Policy = traceio.Skip
 	}
+	// The feed is decoded on a helper goroutine that hands each batch over
+	// and waits until it is observed (the decoder reuses the slice). This
+	// goroutine stays the runtime's single producer, and because it never
+	// blocks on the source, it publishes snapshots and honours stop while
+	// the feed is idle. On stop the helper is abandoned: it may be blocked
+	// in a read that only the feed's writer can end, so an interrupted run
+	// reports no decoder skip counts.
+	type decodeResult struct {
+		stats traceio.Stats
+		err   error
+	}
+	batches := make(chan []trace.Visit)
+	release := make(chan struct{})
+	quit := make(chan struct{})
+	defer close(quit)
+	decoded := make(chan decodeResult, 1)
+	go func() {
+		stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
+			select {
+			case batches <- batch:
+			case <-quit:
+				return errInterrupted
+			}
+			select {
+			case <-release:
+				return nil
+			case <-quit:
+				return errInterrupted
+			}
+		})
+		decoded <- decodeResult{stats, err}
+	}()
+	var publish <-chan time.Time
+	if srv != nil {
+		ticker := time.NewTicker(publishEvery)
+		defer ticker.Stop()
+		publish = ticker.C
+	}
 	var invalid, skipped int64
-	var lastPub time.Time
-	stats, err := traceio.StreamVisitsOpts(r, ioOpts, func(batch []trace.Visit) error {
-		select {
-		case <-stop:
-			return errInterrupted
-		default:
-		}
-		if srv != nil && time.Since(lastPub) >= publishEvery {
-			// Snapshot here, on the producer goroutine (the runtime's
-			// single-producer contract); the server only swaps a pointer.
-			srv.PublishSnapshot(rt.Snapshot())
-			lastPub = time.Now()
-		}
+	observe := func(batch []trace.Visit) error {
 		for i := range batch {
 			if skipped < skip {
 				// Replay cursor: records the restored checkpoint already
@@ -209,7 +235,26 @@ func runFollow(r io.Reader, stdout, stderr io.Writer, opts followOpts) error {
 			}
 		}
 		return nil
-	})
+	}
+	var stats traceio.Stats
+	for running := true; running; {
+		select {
+		case <-stop:
+			err, running = errInterrupted, false
+		case <-publish:
+			// Snapshot here, on the producer goroutine (the runtime's
+			// single-producer contract); the server only swaps a pointer.
+			srv.PublishSnapshot(rt.Snapshot())
+		case batch := <-batches:
+			if err = observe(batch); err != nil {
+				running = false
+			} else {
+				release <- struct{}{}
+			}
+		case res := <-decoded:
+			stats, err, running = res.stats, res.err, false
+		}
+	}
 	interrupted := errors.Is(err, errInterrupted)
 	if srv != nil {
 		// Drain starts: flip readiness off first so orchestrators stop

@@ -10,8 +10,9 @@ import (
 // FuzzDecodeVisits asserts the lenient decoder's contract over arbitrary
 // bytes: it never panics, never fails without a MaxErrors budget, and its
 // stats always add up (every non-blank line is decoded, malformed, or
-// invalid — nothing is silently lost). Strict mode over the same bytes
-// must never decode more than lenient mode did.
+// invalid — nothing is silently lost, under either policy, including
+// when Strict stops at a bad line). Strict mode over the same bytes must
+// never decode more than lenient mode did.
 func FuzzDecodeVisits(f *testing.F) {
 	f.Add([]byte(`{"server":"s","arrive_us":1,"depart_us":2}` + "\n"))
 	f.Add([]byte("{not json\n" + `{"server":"s","arrive_us":1,"depart_us":2}`))
@@ -40,10 +41,21 @@ func FuzzDecodeVisits(f *testing.F) {
 		}
 
 		var strict int
-		if err := StreamVisits(bytes.NewReader(data), 3, func(batch []trace.Visit) error {
+		sstats, err := StreamVisitsOpts(bytes.NewReader(data), StreamOptions{BatchSize: 3}, func(batch []trace.Visit) error {
 			strict += len(batch)
 			return nil
-		}); err == nil && strict != lenient {
+		})
+		if sstats.Decoded+sstats.Malformed+sstats.Invalid != sstats.Lines {
+			t.Fatalf("strict stats do not add up: %+v (err %v)", sstats, err)
+		}
+		wantBad := 0
+		if err != nil {
+			wantBad = 1 // the line Strict stopped at
+		}
+		if sstats.Skipped() != wantBad {
+			t.Fatalf("strict stats count %d bad lines, want %d: %+v", sstats.Skipped(), wantBad, sstats)
+		}
+		if err == nil && strict != lenient {
 			t.Fatalf("strict decoded %d without error but lenient decoded %d", strict, lenient)
 		}
 		if strict > lenient {

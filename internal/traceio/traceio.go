@@ -5,10 +5,28 @@
 //
 // Two reading modes exist. ReadVisits materializes the whole trace, which
 // is convenient for tests and small captures. StreamVisits decodes in
-// bounded batches and hands each batch to a callback, so consumers (like
-// tbdetect) can fold records into their own per-server state without the
-// process ever holding a second full copy of the trace; its memory use is
-// O(batch), independent of trace length.
+// batches of up to BatchSize records and hands each batch to a callback,
+// so consumers (like tbdetect) can fold records into their own per-server
+// state without the process ever holding a second full copy of the
+// trace; its memory use is O(batch), independent of trace length. A batch
+// is cut short when the source has caught up — every buffered byte is
+// decoded and the last read came back short, as a pipe or socket does
+// when the writer is idle — so a live feed never withholds decoded
+// records. Files and in-memory readers return full reads, so their cuts
+// fall every BatchSize records.
+//
+// # Decoding
+//
+// Lines are read in place from the read buffer: a line's bytes are valid
+// only inside the per-line decode step, and every string a record carries
+// is a copy. A visit line made only of the seven lowercase schema keys,
+// printable-ASCII strings without escapes, integers that fit in int64 and
+// JSON whitespace — the canonical form WriteVisits emits — is decoded by
+// a schema-specific scanner without allocating: server and class names
+// are interned per read in a table capped at maxInterned entries. Every
+// other line (escapes, case-folded or unknown keys, null, floats,
+// overflow, malformed input) falls back to encoding/json, so errors,
+// Stats and policy behaviour are encoding/json's by construction.
 //
 // # Degraded inputs
 //
@@ -169,14 +187,40 @@ type errAbort struct{ err error }
 
 func (e errAbort) Error() string { return e.err.Error() }
 
+// shortReader notes whether the last Read returned less than it was
+// asked for: the sign that the source has caught up with its writer.
+type shortReader struct {
+	r     io.Reader
+	short bool
+}
+
+func (s *shortReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	s.short = n < len(p)
+	return n, err
+}
+
 // decodeLines drives the shared line-oriented read loop: decode is called
 // with each non-blank line and reports whether the failure (if any) was a
-// malformed line (bad JSON) or an invalid record.
-func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []byte) (malformed bool, err error)) (Stats, error) {
-	var stats Stats
-	br := bufio.NewReaderSize(r, 64<<10)
+// malformed line (bad JSON) or an invalid record. The line bytes alias the
+// read buffer and are valid only during the call. idle, when non-nil, runs
+// whenever every buffered byte is decoded and the last read came back
+// short; its error aborts the read and is returned verbatim.
+func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []byte) (malformed bool, err error), idle func() error) (stats Stats, err error) {
+	defer func() { stats.Decoded = stats.Lines - stats.Skipped() }()
+	src := &shortReader{r: r}
+	br := bufio.NewReaderSize(src, 64<<10)
+	var long []byte // reused scratch for lines longer than the buffer
 	for line := 1; ; line++ {
-		data, rerr := br.ReadBytes('\n')
+		data, rerr := br.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
+			long = append(long[:0], data...)
+			for rerr == bufio.ErrBufferFull {
+				data, rerr = br.ReadSlice('\n')
+				long = append(long, data...)
+			}
+			data = long
+		}
 		trimmed := bytes.TrimSpace(data)
 		if len(trimmed) > 0 {
 			stats.Lines++
@@ -185,10 +229,10 @@ func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []b
 				if errors.As(derr, &abort) {
 					return stats, abort.err
 				}
+				stats.record(line, malformed, derr)
 				if opts.Policy == Strict {
 					return stats, fmt.Errorf("traceio: line %d: %w", line, derr)
 				}
-				stats.record(line, malformed, derr)
 				if opts.MaxErrors > 0 && stats.Skipped() > opts.MaxErrors {
 					return stats, fmt.Errorf("%w: %d bad lines (limit %d), first at line %d: %v",
 						ErrTooManyBadLines, stats.Skipped(), opts.MaxErrors, stats.Errors[0].Line, stats.Errors[0].Err)
@@ -200,6 +244,11 @@ func decodeLines(r io.Reader, opts StreamOptions, decode func(line int, data []b
 				return stats, nil
 			}
 			return stats, fmt.Errorf("traceio: read line %d: %w", line, rerr)
+		}
+		if idle != nil && src.short && br.Buffered() == 0 {
+			if err := idle(); err != nil {
+				return stats, err
+			}
 		}
 	}
 }
@@ -219,56 +268,45 @@ func StreamVisits(r io.Reader, batchSize int, fn func(batch []trace.Visit) error
 // the stream resumes at the next newline; the error is non-nil only when
 // the Skip budget (MaxErrors) is exhausted, the callback fails, or the
 // underlying reader fails. Stats are returned in every case, including
-// on error, so callers can report partial progress.
+// on error, so callers can report partial progress; on every return
+// Decoded+Malformed+Invalid == Lines.
+//
+// A batch holds up to BatchSize records: it is handed over early when
+// the source has caught up (see the package doc), so a consumer that
+// needs fixed cuts must re-cut.
 func StreamVisitsOpts(r io.Reader, opts StreamOptions, fn func(batch []trace.Visit) error) (Stats, error) {
 	batchSize := opts.BatchSize
 	if batchSize <= 0 {
 		batchSize = DefaultBatch
 	}
 	batch := make([]trace.Visit, 0, batchSize)
-	var fnErr error
+	emit := func() error {
+		if len(batch) == 0 {
+			return nil
+		}
+		if err := fn(batch); err != nil {
+			return err
+		}
+		batch = batch[:0]
+		return nil
+	}
+	var dec visitDecoder
 	stats, err := decodeLines(r, opts, func(line int, data []byte) (bool, error) {
-		var rec visitRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return true, fmt.Errorf("decode visit: %w", err)
+		v, malformed, err := dec.decode(data)
+		if err != nil {
+			return malformed, err
 		}
-		if rec.Server == "" {
-			return false, errors.New("visit has no server")
-		}
-		if rec.DepartUS < rec.ArriveUS {
-			return false, errors.New("visit departs before arriving")
-		}
-		batch = append(batch, trace.Visit{
-			Server:     rec.Server,
-			Class:      rec.Class,
-			TxnID:      rec.TxnID,
-			HopID:      rec.HopID,
-			Arrive:     simnet.Time(rec.ArriveUS),
-			Depart:     simnet.Time(rec.DepartUS),
-			Downstream: simnet.Duration(rec.DownstrUS),
-		})
-		if len(batch) == batchSize {
-			if err := fn(batch); err != nil {
-				fnErr = err
+		if batch = append(batch, v); len(batch) == batchSize {
+			if err := emit(); err != nil {
 				return false, errAbort{err: err}
 			}
-			batch = batch[:0]
 		}
 		return false, nil
-	})
-	stats.Decoded = stats.Lines - stats.Skipped()
-	if fnErr != nil {
-		return stats, fnErr
-	}
+	}, emit)
 	if err != nil {
 		return stats, err
 	}
-	if len(batch) > 0 {
-		if err := fn(batch); err != nil {
-			return stats, err
-		}
-	}
-	return stats, nil
+	return stats, emit()
 }
 
 // ReadVisits reads JSONL visits until EOF, materializing the whole trace.
@@ -353,8 +391,7 @@ func ReadMessagesOpts(r io.Reader, opts StreamOptions) ([]trace.Message, Stats, 
 			Bytes:     rec.Bytes,
 		})
 		return false, nil
-	})
-	stats.Decoded = stats.Lines - stats.Skipped()
+	}, nil)
 	if err != nil {
 		return nil, stats, err
 	}
