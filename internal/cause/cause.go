@@ -121,7 +121,7 @@ type Options struct {
 	// Downstream maps a server name to the servers it calls. When set,
 	// verdicts on servers whose congestion coincides with a congested
 	// downstream server are discounted (the mirror effect — the root is
-	// below them), mirroring core.AttributeRootCause.
+	// below them).
 	Downstream map[string][]string
 	// MinCongestedFraction is the congestion floor below which a server
 	// gets no verdict at all. Defaults to 0.02.

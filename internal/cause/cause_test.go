@@ -87,3 +87,60 @@ func TestAttributeTimeShiftInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestAttributeDownstreamDiscount covers the mirror-effect discount: a
+// caller congested exactly when its callee is gets its score cut below
+// the callee's, while a server without dependencies, or whose only
+// dependency is absent from the feed, keeps its undiscounted score.
+func TestAttributeDownstreamDiscount(t *testing.T) {
+	// app and db congest in lockstep, so without topology they tie.
+	chain := func() []Series {
+		db := synthSeries(0)[0]
+		db.Server = "db"
+		app := db
+		app.Server = "app"
+		return []Series{app, db}
+	}
+	topScores := func(vs []Verdict) map[string]float64 {
+		top := make(map[string]float64)
+		for _, v := range vs {
+			if _, ok := top[v.Server]; !ok {
+				top[v.Server] = v.Score
+			}
+		}
+		return top
+	}
+	base := topScores(Attribute(chain(), Options{}))
+	if base["app"] == 0 || base["app"] != base["db"] {
+		t.Fatalf("lockstep feed without topology: scores %v, want an equal nonzero tie", base)
+	}
+	for _, c := range []struct {
+		name       string
+		downstream map[string][]string
+		discounted bool
+	}{
+		{"blames downstream", map[string][]string{"app": {"db"}}, true},
+		{"no dependencies", map[string][]string{"db": nil}, false},
+		{"unknown dependency ignored", map[string][]string{"app": {"ghost"}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			vs := Attribute(chain(), Options{Downstream: c.downstream})
+			got := topScores(vs)
+			if got["db"] != base["db"] {
+				t.Errorf("db score %.3f, want undiscounted %.3f", got["db"], base["db"])
+			}
+			if !c.discounted {
+				if got["app"] != base["app"] {
+					t.Errorf("app score %.3f, want undiscounted %.3f", got["app"], base["app"])
+				}
+				return
+			}
+			if vs[0].Server != "db" {
+				t.Errorf("top verdict on %s, want db (%v)", vs[0].Server, vs)
+			}
+			if got["app"] >= got["db"] {
+				t.Errorf("app score %.3f not discounted below db %.3f", got["app"], got["db"])
+			}
+		})
+	}
+}

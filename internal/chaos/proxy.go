@@ -1,23 +1,23 @@
 package chaos
 
 import (
-	"encoding/binary"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"transientbd/internal/frame"
 )
 
 // Proxy is a frame-aware TCP fault injector for the agent↔merge-head
-// wire protocol: it sits between the two, parses the length-prefixed
-// frame boundaries (without decoding payloads), and applies faults on
-// the agent→head direction — drop a frame, duplicate it, delay it, or
-// kill the connection halfway through one, leaving torn bytes the
-// reader must reject. A partition gate blackholes both directions of
-// every connection (bytes are held, connections stay open — the
-// silence of a real network partition, not the clean error of a
-// close).
+// wire protocol: it sits between the two, reads whole frames with
+// internal/frame (checking each CRC, without decoding payloads), and
+// applies faults on the agent→head direction — drop a frame, duplicate
+// it, delay it, or kill the connection halfway through one, leaving
+// torn bytes the reader must reject. A partition gate blackholes both
+// directions of every connection (bytes are held, connections stay
+// open — the silence of a real network partition, not the clean error
+// of a close).
 //
 // Faults count frames, not bytes, so a test can say "drop the 7th
 // frame" and know exactly which batch went missing. Counters expose
@@ -235,25 +235,16 @@ func (p *Proxy) session(down net.Conn) {
 		}
 	}()
 
-	// agent→head, one frame at a time: [4-byte length][body][4-byte CRC].
-	var hdr [4]byte
-	frame := make([]byte, 0, 4096)
+	// agent→head, one frame at a time, re-sealed byte-identically for
+	// forwarding. A frame that fails its length or CRC check was
+	// corrupted upstream of us: there is nothing sane to forward.
+	var body, raw []byte
 	for {
-		if _, err := io.ReadFull(down, hdr[:]); err != nil {
+		var err error
+		if body, err = frame.Read(down, body); err != nil {
 			return
 		}
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > (1 << 20) {
-			return // corrupt upstream of us; nothing sane to forward
-		}
-		need := int(n) + 4 // body + CRC
-		if cap(frame) < 4+need {
-			frame = make([]byte, 4+need)
-		} else {
-			frame = frame[:4+need]
-		}
-		copy(frame, hdr[:])
-		if _, err := io.ReadFull(down, frame[4:]); err != nil {
+		if raw, err = frame.Append(raw[:0], body); err != nil {
 			return
 		}
 		k := p.frames.Add(1)
@@ -266,7 +257,7 @@ func (p *Proxy) session(down net.Conn) {
 			continue
 		case p.KillEvery > 0 && k%p.KillEvery == 0:
 			p.killed.Add(1)
-			up.Write(frame[:len(frame)/2])
+			up.Write(raw[:len(raw)/2])
 			up.Close()
 			down.Close()
 			return
@@ -274,12 +265,12 @@ func (p *Proxy) session(down net.Conn) {
 		if p.Delay > 0 {
 			time.Sleep(p.Delay)
 		}
-		if _, err := up.Write(frame); err != nil {
+		if _, err := up.Write(raw); err != nil {
 			return
 		}
 		if p.DupEvery > 0 && k%p.DupEvery == 0 {
 			p.duped.Add(1)
-			if _, err := up.Write(frame); err != nil {
+			if _, err := up.Write(raw); err != nil {
 				return
 			}
 		}

@@ -317,30 +317,35 @@ func TestExperimentsDataFlag(t *testing.T) {
 	}
 }
 
+// -rootcause is a no-op alias kept for old scripts: the root-cause
+// verdicts are printed on every batch run, so adding the flag must not
+// change a byte of the output, with or without a wire capture.
 func TestTBDetectRootCause(t *testing.T) {
 	dir := t.TempDir()
+	visits := filepath.Join(dir, "v.jsonl")
 	msgs := filepath.Join(dir, "messages.jsonl")
 	var simOut, simErr bytes.Buffer
 	if err := NtierSim([]string{
 		"-users", "2000", "-duration", "10s", "-ramp", "3s",
-		"-out", filepath.Join(dir, "v.jsonl"),
+		"-out", visits,
 		"-messages", msgs,
 	}, &simOut, &simErr); err != nil {
 		t.Fatal(err)
 	}
-	var detOut, detErr bytes.Buffer
-	if err := TBDetect([]string{"-in", msgs, "-wire", "-rootcause"}, &detOut, &detErr); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(detOut.String(), "root-cause attribution") {
-		t.Errorf("missing root-cause section:\n%s", detOut.String())
-	}
-	if !strings.Contains(detOut.String(), "EXPLAINED") {
-		t.Errorf("missing attribution columns:\n%s", detOut.String())
-	}
-	// Without -wire the flag must refuse (no call graph available).
-	if err := TBDetect([]string{"-in", filepath.Join(dir, "v.jsonl"), "-rootcause"}, &detOut, &detErr); err == nil {
-		t.Error("want error for -rootcause without -wire")
+	for _, args := range [][]string{{"-in", msgs, "-wire"}, {"-in", visits}} {
+		var plain, alias, stderr bytes.Buffer
+		if err := TBDetect(args, &plain, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		if err := TBDetect(append(args, "-rootcause"), &alias, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plain.String(), "root-cause verdicts") {
+			t.Errorf("%v: missing root-cause verdicts:\n%s", args, plain.String())
+		}
+		if alias.String() != plain.String() {
+			t.Errorf("%v: -rootcause changed the output:\n%s\nvs\n%s", args, alias.String(), plain.String())
+		}
 	}
 }
 

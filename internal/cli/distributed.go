@@ -14,6 +14,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -412,6 +413,8 @@ func nodeViews(sts []merge.NodeStatus) []serve.NodeView {
 // checkpoint written (when configured) and the exit is clean (status
 // 0), even while agents are mid-reconnect.
 func runMerge(stdout, stderr io.Writer, opts mergeOpts) error {
+	// Session goroutines log concurrently with this one.
+	stderr = &lockedWriter{w: stderr}
 	windowIntervals := int(opts.window / opts.interval)
 	srv, err := merge.NewServer(merge.ServerConfig{
 		Core: merge.Config{
@@ -575,4 +578,16 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
+}
+
+// lockedWriter serializes writes to a writer shared by goroutines.
+type lockedWriter struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+func (l *lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }

@@ -79,7 +79,7 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 		top        = fs.Int("top", 0, "print only the N worst servers (0 = all)")
 		classes    = fs.String("classes", "", "also print the per-class breakdown for this server")
 		auto       = fs.Bool("auto", false, "choose the monitoring interval automatically (overrides -interval)")
-		rootCA     = fs.Bool("rootcause", false, "with -wire: attribute congestion to its origin using the call graph")
+		_          = fs.Bool("rootcause", false, "no-op, kept for compatibility: the root-cause verdicts are always printed")
 		parallel   = fs.Int("parallel", 0, "worker goroutines for the analysis (0 = GOMAXPROCS, 1 = serial; results are identical)")
 		lenient    = fs.Bool("lenient", false, "survive degraded traces: skip corrupt lines, quarantine anomalous hops, repair clock skew")
 		quality    = fs.Bool("quality", false, "print the trace-quality block (lines skipped, visits quarantined, skew repairs)")
@@ -332,19 +332,6 @@ func TBDetect(args []string, stdout, stderr io.Writer) error {
 					fmt.Fprintf(stdout, "      - %s\n", e)
 				}
 			}
-		}
-	}
-
-	if *rootCA {
-		if callGraph == nil {
-			return fmt.Errorf("tbdetect: -rootcause needs a wire capture (-wire) to recover the call graph")
-		}
-		reports := core.AttributeRootCause(analysis, callGraph)
-		fmt.Fprintf(stdout, "\nroot-cause attribution (congestion minus what a congested downstream explains):\n")
-		fmt.Fprintf(stdout, "%-12s  %10s  %10s  %8s\n", "SERVER", "CONGESTED", "EXPLAINED", "SCORE")
-		for _, rep := range reports {
-			fmt.Fprintf(stdout, "%-12s  %9.1f%%  %9.1f%%  %8.3f\n",
-				rep.Server, 100*rep.CongestedFraction, 100*rep.ExplainedFraction, rep.Score)
 		}
 	}
 

@@ -97,7 +97,7 @@ func Attribution(opts RunOpts) (*AttributionResult, error) {
 			if c.spec != nil {
 				msgs, _ = ntier.InjectFaults(msgs, *c.spec)
 			}
-			verdicts, visits, err := attributeCapture(msgs, w, downstream)
+			verdicts, visits, _, err := attributeCapture(msgs, w, downstream)
 			if err != nil {
 				return nil, fmt.Errorf("attribution %s (%s): %w", name, c.label, err)
 			}
@@ -128,23 +128,29 @@ func Attribution(opts RunOpts) (*AttributionResult, error) {
 }
 
 // attributeCapture runs the lenient analysis pipeline over a (possibly
-// degraded) wire capture and returns the ranked cause verdicts.
-func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string][]string) ([]cause.Verdict, int, error) {
+// degraded) wire capture and returns the ranked cause verdicts, the
+// number of visits assembled and the number of hops quarantined.
+func attributeCapture(msgs []trace.Message, w core.Window, downstream map[string][]string) ([]cause.Verdict, int, int, error) {
 	repaired, _ := trace.RepairSkew(msgs)
-	visits, _ := trace.AssembleLenient(repaired, trace.AssembleOptions{
+	visits, arep := trace.AssembleLenient(repaired, trace.AssembleOptions{
 		InFlightTimeout: 5 * simnet.Second,
 	})
 	sysA, err := core.AnalyzeSystemGrouped(trace.PerServerParallel(visits, 0), w, core.Options{
 		Interval: 50 * simnet.Millisecond,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
+	return attribute(sysA, downstream), len(visits), arep.Quarantined(), nil
+}
+
+// attribute ranks the cause verdicts over every server of an analysis.
+func attribute(sysA *core.SystemAnalysis, downstream map[string][]string) []cause.Verdict {
 	series := make([]cause.Series, 0, len(sysA.PerServer))
 	for _, a := range sysA.PerServer {
 		series = append(series, cause.FromAnalysis(a))
 	}
-	return cause.Attribute(series, cause.Options{Downstream: downstream}), len(visits), nil
+	return cause.Attribute(series, cause.Options{Downstream: downstream})
 }
 
 // truthServersFor merges the server lists of every ground-truth record

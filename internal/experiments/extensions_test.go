@@ -142,13 +142,13 @@ func TestNoisyNeighborLocalized(t *testing.T) {
 			r.Victim.CongestedFraction, r.Twin.CongestedFraction)
 	}
 	// The victim's freezes back requests up the chain, so the raw ranking
-	// may flag upstream tiers too; root-cause attribution must single out
-	// the victim.
+	// may flag upstream tiers too; the attribution engine's top verdict
+	// must single out the victim.
 	if len(r.RootCauses) == 0 || r.RootCauses[0].Server != "mysql-1" {
 		t.Errorf("root cause = %+v, want mysql-1 first", r.RootCauses)
 	}
-	// The twin's unexplained congestion stays below the victim's, and the
-	// freeze signature (POIs) appears only at the victim.
+	// Every verdict on the twin scores below the victim's, and the freeze
+	// signature (POIs) appears only at the victim.
 	for _, rc := range r.RootCauses {
 		if rc.Server == "mysql-2" && rc.Score >= r.RootCauses[0].Score {
 			t.Errorf("twin score %.3f not below victim %.3f", rc.Score, r.RootCauses[0].Score)

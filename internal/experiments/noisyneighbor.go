@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"transientbd/internal/cause"
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
@@ -22,36 +23,36 @@ type NoisyNeighborResult struct {
 	// n-tier system the victim's freezes back requests up into every
 	// upstream tier, so the raw ranking flags the whole call chain.
 	Ranking []core.ServerReport
-	// RootCauses discounts congestion explained by a congested downstream
-	// dependency (call graph derived from the wire trace); the victim
-	// must lead here.
-	RootCauses []core.RootCauseReport
+	// RootCauses are the attribution engine's verdicts, with congestion
+	// that a congested downstream dependency explains discounted (call
+	// graph derived from the wire trace); the victim must lead here.
+	RootCauses []cause.Verdict
 	// VictimUtil and TwinUtil are window-average CPU utilizations — the
 	// coarse view, which shows elevated-but-unsaturated usage.
 	VictimUtil, TwinUtil float64
+}
+
+// runNoisyNeighbor simulates the "noisy-neighbor" battery preset — WL
+// 7,000 with a full-core hog on mysql-1 for 300 ms every 3 s — with the
+// concurrent (JDK 1.6) Tomcat collector.
+func runNoisyNeighbor(opts RunOpts) (*ntier.Result, error) {
+	cfg, err := ntier.ScenarioPreset("noisy-neighbor", opts.Seed, opts.duration(), opts.ramp())
+	if err != nil {
+		return nil, err
+	}
+	cfg.AppCollector = 2
+	sys, err := ntier.Build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return sys.Run()
 }
 
 // NoisyNeighbor runs WL 7,000 with a periodic full-core hog on mysql-1.
 // Client bursts are disabled so the antagonist is the only transient
 // cause — a controlled experiment isolating the localization question.
 func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
-	cfg := ntier.Config{
-		Users:    7000,
-		Duration: opts.duration(),
-		Ramp:     opts.ramp(),
-		Seed:     opts.Seed,
-		Antagonist: &ntier.AntagonistConfig{
-			Target:   "mysql-1",
-			Period:   3 * simnet.Second,
-			BurstLen: 300 * simnet.Millisecond,
-		},
-	}
-	cfg.AppCollector = 2
-	sys, err := ntier.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("noisy neighbor: %w", err)
-	}
-	res, err := sys.Run()
+	res, err := runNoisyNeighbor(opts)
 	if err != nil {
 		return nil, fmt.Errorf("noisy neighbor: %w", err)
 	}
@@ -68,12 +69,11 @@ func NoisyNeighbor(opts RunOpts) (*NoisyNeighborResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	graph := trace.CallGraph(res.Messages)
 	return &NoisyNeighborResult{
 		Victim:     victim,
 		Twin:       twin,
 		Ranking:    sysA.Ranking,
-		RootCauses: core.AttributeRootCause(sysA, graph),
+		RootCauses: attribute(sysA, trace.CallGraph(res.Messages)),
 		VictimUtil: res.Utilization["mysql-1"],
 		TwinUtil:   res.Utilization["mysql-2"],
 	}, nil
@@ -96,13 +96,13 @@ func (r *NoisyNeighborResult) Table() *Table {
 	if len(r.Ranking) > 0 {
 		worst = r.Ranking[0].Server
 	}
-	rootCause := "-"
+	rootCause, confidence := "-", ""
 	if len(r.RootCauses) > 0 {
-		rootCause = fmt.Sprintf("%s (score %.3f, explained %.0f%%)",
-			r.RootCauses[0].Server, r.RootCauses[0].Score,
-			100*r.RootCauses[0].ExplainedFraction)
+		top := r.RootCauses[0]
+		rootCause = fmt.Sprintf("%s, score %.3f", verdictLabel(top.Kind, top.Server), top.Score)
+		confidence = fmt.Sprintf("(confidence %.2f)", top.Confidence)
 	}
 	t.Rows = append(t.Rows, []string{"raw ranking blames", worst, "(whole chain backs up)"})
-	t.Rows = append(t.Rows, []string{"root-cause attribution", rootCause, ""})
+	t.Rows = append(t.Rows, []string{"root-cause attribution", rootCause, confidence})
 	return t
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"transientbd/internal/cause"
 	"transientbd/internal/core"
 	"transientbd/internal/ntier"
 	"transientbd/internal/simnet"
@@ -21,9 +22,11 @@ type RobustnessRow struct {
 	// surviving fraction of the baseline's assembled visits.
 	Quarantined int
 	Coverage    float64
-	// Top is the root-cause verdict under this condition; RankStable
-	// reports whether it matches the clean baseline's.
+	// Top is the top verdict's server under this condition, Kind its
+	// fingerprinted cause; RankStable reports whether Top matches the
+	// clean baseline's.
 	Top        string
+	Kind       cause.Kind
 	RankStable bool
 	// TopScore is Top's root-cause score.
 	TopScore float64
@@ -33,9 +36,11 @@ type RobustnessRow struct {
 // with a known root cause, re-analyzed through the lenient pipeline
 // under increasingly degraded captures.
 type RobustnessResult struct {
-	// BaselineTop is the clean capture's root-cause verdict and score —
-	// the ground truth each degraded condition is held to.
+	// BaselineTop is the clean capture's top verdict server, with its
+	// kind and score — the ground truth each degraded condition is held
+	// to.
 	BaselineTop      string
+	BaselineKind     cause.Kind
 	BaselineTopScore float64
 	// Rows are the degraded conditions, in sweep order.
 	Rows []RobustnessRow
@@ -50,44 +55,13 @@ type RobustnessResult struct {
 // because congested-fraction detection depends on per-interval load
 // shape, not on catching every message.
 func Robustness(opts RunOpts) (*RobustnessResult, error) {
-	cfg := ntier.Config{
-		Users:    7000,
-		Duration: opts.duration(),
-		Ramp:     opts.ramp(),
-		Seed:     opts.Seed,
-		Antagonist: &ntier.AntagonistConfig{
-			Target:   "mysql-1",
-			Period:   3 * simnet.Second,
-			BurstLen: 300 * simnet.Millisecond,
-		},
-	}
-	cfg.AppCollector = 2
-	sys, err := ntier.Build(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("robustness: %w", err)
-	}
-	res, err := sys.Run()
+	res, err := runNoisyNeighbor(opts)
 	if err != nil {
 		return nil, fmt.Errorf("robustness: %w", err)
 	}
 
 	w := core.Window{Start: res.WindowStart, End: res.WindowEnd}
-	analyze := func(msgs []trace.Message) ([]core.RootCauseReport, int, int, error) {
-		repaired, _ := trace.RepairSkew(msgs)
-		visits, arep := trace.AssembleLenient(repaired, trace.AssembleOptions{
-			InFlightTimeout: 5 * simnet.Second,
-		})
-		sysA, err := core.AnalyzeSystemGrouped(trace.PerServerParallel(visits, 0), w, core.Options{
-			Interval: 50 * simnet.Millisecond,
-		})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		causes := core.AttributeRootCause(sysA, trace.CallGraph(msgs))
-		return causes, len(visits), arep.Quarantined(), nil
-	}
-
-	baseline, baseVisits, _, err := analyze(res.Messages)
+	baseline, baseVisits, _, err := attributeCapture(res.Messages, w, trace.CallGraph(res.Messages))
 	if err != nil {
 		return nil, fmt.Errorf("robustness baseline: %w", err)
 	}
@@ -96,6 +70,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 	}
 	out := &RobustnessResult{
 		BaselineTop:      baseline[0].Server,
+		BaselineKind:     baseline[0].Kind,
 		BaselineTopScore: baseline[0].Score,
 	}
 
@@ -116,7 +91,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 	}
 	for _, c := range conditions {
 		degraded, frep := ntier.InjectFaults(res.Messages, c.spec)
-		causes, visits, quarantined, err := analyze(degraded)
+		causes, visits, quarantined, err := attributeCapture(degraded, w, trace.CallGraph(degraded))
 		if err != nil {
 			return nil, fmt.Errorf("robustness %s: %w", c.label, err)
 		}
@@ -128,6 +103,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 		}
 		if len(causes) > 0 {
 			row.Top = causes[0].Server
+			row.Kind = causes[0].Kind
 			row.RankStable = causes[0].Server == out.BaselineTop
 			row.TopScore = causes[0].Score
 		}
@@ -140,7 +116,7 @@ func Robustness(opts RunOpts) (*RobustnessResult, error) {
 func (r *RobustnessResult) Table() *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Extension: graceful degradation under capture faults (clean baseline root cause: %s, score %.3f)",
-			r.BaselineTop, r.BaselineTopScore),
+			verdictLabel(r.BaselineKind, r.BaselineTop), r.BaselineTopScore),
 		Header: []string{"Condition", "Dropped", "Dup", "Quarantined", "Coverage", "Root cause", "Score", "Stable"},
 	}
 	for _, row := range r.Rows {
@@ -149,9 +125,17 @@ func (r *RobustnessResult) Table() *Table {
 			row.Faults.Duplicated,
 			row.Quarantined,
 			fmt.Sprintf("%.1f%%", 100*row.Coverage),
-			row.Top,
+			verdictLabel(row.Kind, row.Top),
 			fmt.Sprintf("%.3f", row.TopScore),
 			row.RankStable)
 	}
 	return t
+}
+
+// verdictLabel renders a verdict as kind@server, or "-" for none.
+func verdictLabel(kind cause.Kind, server string) string {
+	if server == "" {
+		return "-"
+	}
+	return fmt.Sprintf("%s@%s", kind, server)
 }

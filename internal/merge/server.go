@@ -312,12 +312,7 @@ func (s *Server) session(conn net.Conn) {
 			}
 		case wire.TypeGoodbye:
 			var aerr error
-			if !s.do(func() {
-				aerr = s.core.EOF(node, f.Goodbye.FinalSeq)
-				if aerr == nil && s.core.Done() {
-					s.finish()
-				}
-			}) {
+			if !s.do(func() { aerr = s.core.EOF(node, f.Goodbye.FinalSeq) }) {
 				return
 			}
 			if aerr != nil {
@@ -326,11 +321,21 @@ func (s *Server) session(conn net.Conn) {
 			}
 			// Echo the Goodbye: the agent's confirmation that the full
 			// stream is applied. The agent closes; our read sees EOF.
+			// The echo goes out before the head can finish: finishing
+			// lets the owner close every connection, and an agent whose
+			// echo is lost keeps redialling a head that is gone.
 			conn.SetWriteDeadline(time.Now().Add(10 * time.Second))
 			if err := w.WriteGoodbye(wire.Goodbye{FinalSeq: f.Goodbye.FinalSeq, Reason: "ack"}); err == nil {
 				w.Flush()
 			}
 			s.cfg.Logf("merge: node %q finished its stream at seq %d", node, f.Goodbye.FinalSeq)
+			if !s.do(func() {
+				if s.core.Done() {
+					s.finish()
+				}
+			}) {
+				return
+			}
 		case wire.TypeError:
 			s.cfg.Logf("merge: node %q reported: %s", node, f.Error.Msg)
 			return

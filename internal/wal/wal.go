@@ -14,8 +14,9 @@
 //	0000000000000000000001.seg
 //	0000000000000000000618.seg
 //
-// Each segment is a concatenation of records framed exactly like the
-// wire protocol frames they protect:
+// Each segment is a concatenation of records in the length + CRC-32
+// framing defined in internal/frame, the same framing as the wire
+// protocol frames they protect:
 //
 //	[4 bytes big-endian payload length] [payload] [4 bytes CRC-32 (IEEE) over payload]
 //	payload = uvarint sequence number + opaque record body
@@ -42,19 +43,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"transientbd/internal/frame"
 )
 
-// MaxRecordSize bounds a record payload (sequence varint + body), so a
-// corrupt length prefix cannot make Open allocate unbounded memory. It
-// matches the wire protocol's MaxFrameSize — WAL records hold encoded
-// wire batches.
-const MaxRecordSize = 1 << 20
+// MaxRecordSize bounds a record payload (sequence varint + body): the
+// shared frame.MaxSize, which the wire protocol's frames obey too — WAL
+// records hold encoded wire batches.
+const MaxRecordSize = frame.MaxSize
 
 const segSuffix = ".seg"
 
@@ -104,6 +105,7 @@ type Log struct {
 	lastSeq  uint64 // survives emptiness: the contiguity anchor for appends
 	records  int
 
+	payload []byte // reused append payload: uvarint seq + body
 	scratch []byte // reused append frame
 }
 
@@ -238,34 +240,19 @@ type segmentReader struct {
 // varint) is a distinct error, with r.off still at the broken frame's
 // start. The returned body aliases r.buf until the following next.
 func (r *segmentReader) next() (uint64, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.f, hdr[:]); err != nil {
+	var err error
+	if r.buf, err = frame.Read(r.f, r.buf); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("wal: torn header: %w", err)
+		return 0, nil, fmt.Errorf("wal: record: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > MaxRecordSize {
-		return 0, nil, fmt.Errorf("wal: absurd record length %d", n)
-	}
-	if cap(r.buf) < int(n)+4 {
-		r.buf = make([]byte, n+4)
-	}
-	r.buf = r.buf[:n+4]
-	if _, err := io.ReadFull(r.f, r.buf); err != nil {
-		return 0, nil, fmt.Errorf("wal: torn record: %w", err)
-	}
-	payload := r.buf[:n]
-	if binary.BigEndian.Uint32(r.buf[n:]) != crc32.ChecksumIEEE(payload) {
-		return 0, nil, errors.New("wal: record CRC mismatch")
-	}
-	seq, vn := binary.Uvarint(payload)
+	seq, vn := binary.Uvarint(r.buf)
 	if vn <= 0 || seq == 0 {
 		return 0, nil, errors.New("wal: malformed record sequence")
 	}
-	r.off += int64(4 + len(r.buf))
-	return seq, payload[vn:], nil
+	r.off += int64(frame.Overhead + len(r.buf))
+	return seq, r.buf[vn:], nil
 }
 
 // seek positions the reader at the frame holding seq, scanning from the
@@ -322,18 +309,13 @@ func (l *Log) Append(seq uint64, body []byte) error {
 	if err := l.tailForAppend(seq); err != nil {
 		return err
 	}
-	// Frame: [len][uvarint seq + body][crc].
-	l.scratch = append(l.scratch[:0], 0, 0, 0, 0)
-	l.scratch = binary.AppendUvarint(l.scratch, seq)
-	l.scratch = append(l.scratch, body...)
-	payload := l.scratch[4:]
-	if len(payload) > MaxRecordSize {
-		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordSize", len(payload))
+	l.payload = binary.AppendUvarint(l.payload[:0], seq)
+	l.payload = append(l.payload, body...)
+	rec, err := frame.Append(l.scratch[:0], l.payload)
+	if err != nil {
+		return fmt.Errorf("wal: record of %d bytes: %w", len(l.payload), err)
 	}
-	binary.BigEndian.PutUint32(l.scratch[:4], uint32(len(payload)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(payload))
-	l.scratch = append(l.scratch, crc[:]...)
+	l.scratch = rec
 	if _, err := l.cur.Write(l.scratch); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}

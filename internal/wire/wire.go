@@ -10,11 +10,13 @@
 //
 // # Frame layout
 //
-//	[4 bytes big-endian payload length] [1 byte frame type] [payload] [4 bytes CRC-32 (IEEE) over type+payload]
+// Frames use the length + CRC-32 framing defined in internal/frame; the
+// framed body is one frame-type byte followed by the payload:
 //
-// The length covers the type byte and payload (not itself, not the
-// CRC). A frame whose CRC does not match, whose length exceeds
-// MaxFrameSize, or whose payload does not parse is a protocol error:
+//	[4 bytes big-endian body length] [1 byte frame type] [payload] [4 bytes CRC-32 (IEEE) over type+payload]
+//
+// A frame whose CRC does not match, whose length exceeds MaxFrameSize,
+// or whose payload does not parse is a protocol error:
 // the connection is unusable (framing may be lost) and must be closed.
 // Sequence numbering makes the close safe — the sender retransmits
 // everything unacknowledged on the next connection.
@@ -51,10 +53,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"transientbd/internal/frame"
 	"transientbd/internal/simnet"
 	"transientbd/internal/trace"
 )
@@ -70,11 +72,9 @@ import (
 // rejection instead of a framing error.
 const Version = 2
 
-// MaxFrameSize bounds the length prefix (type byte + payload). It caps
-// a batch at roughly 16k visits — far above any sane batch size — so a
-// corrupt or hostile length prefix cannot make the reader allocate
-// unbounded memory.
-const MaxFrameSize = 1 << 20
+// MaxFrameSize bounds the length prefix (type byte + payload): the
+// shared frame.MaxSize.
+const MaxFrameSize = frame.MaxSize
 
 // Frame types. The type byte is covered by the CRC, so a flipped type
 // is caught before dispatch.
@@ -90,11 +90,12 @@ const (
 	TypeAuth      byte = 9
 )
 
-// ErrFrameTooBig reports a length prefix beyond MaxFrameSize.
-var ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrameSize")
+// ErrFrameTooBig reports a length prefix of zero or beyond
+// MaxFrameSize.
+var ErrFrameTooBig = frame.ErrTooBig
 
 // ErrBadCRC reports a frame whose checksum does not match its bytes.
-var ErrBadCRC = errors.New("wire: frame CRC mismatch")
+var ErrBadCRC = frame.ErrBadCRC
 
 // Hello opens a connection: who is calling and what it speaks.
 type Hello struct {
@@ -299,7 +300,8 @@ func (r *payloadReader) done() error {
 // concurrent use; connections have a single writer goroutine.
 type Writer struct {
 	w   *bufio.Writer
-	buf []byte // reused frame scratch: type + payload
+	buf []byte // reused frame body scratch: type + payload
+	out []byte // reused sealed-frame scratch
 }
 
 // NewWriter wraps w. Flush must be called to push buffered frames.
@@ -312,19 +314,12 @@ func (w *Writer) Flush() error { return w.w.Flush() }
 
 // writeFrame emits one frame from w.buf (type byte + payload).
 func (w *Writer) writeFrame() error {
-	if len(w.buf) > MaxFrameSize {
-		return ErrFrameTooBig
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(w.buf)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	out, err := frame.Append(w.out[:0], w.buf)
+	if err != nil {
 		return err
 	}
-	if _, err := w.w.Write(w.buf); err != nil {
-		return err
-	}
-	binary.BigEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(w.buf))
-	_, err := w.w.Write(hdr[:])
+	w.out = out
+	_, err = w.w.Write(out)
 	return err
 }
 
@@ -471,32 +466,9 @@ func NewReader(r io.Reader) *Reader {
 // Any CRC, size or parse failure means framing is lost: the caller
 // must close the connection.
 func (r *Reader) Read() (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		return Frame{}, err // io.EOF here is a clean boundary
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n < 1 || n > MaxFrameSize {
-		return Frame{}, ErrFrameTooBig
-	}
-	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
+	var err error
+	if r.buf, err = frame.Read(r.r, r.buf); err != nil {
 		return Frame{}, err
-	}
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	if binary.BigEndian.Uint32(hdr[:]) != crc32.ChecksumIEEE(r.buf) {
-		return Frame{}, ErrBadCRC
 	}
 	return decodeFrame(r.buf)
 }
